@@ -8,6 +8,17 @@ from the paper's physical testbed by design — see DESIGN.md §2.
 
 from __future__ import annotations
 
+import zlib
+
+
+def launch_seed(image: str, flavor: str) -> int:
+    """Cloud seed for one launch-matrix cell, stable across processes.
+
+    ``hash()`` of a str tuple changes with ``PYTHONHASHSEED``, which made
+    the launch tables differ from run to run; CRC-32 does not.
+    """
+    return zlib.crc32(f"{image}/{flavor}".encode()) % 1000
+
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     """Render one paper-style results table to stdout."""

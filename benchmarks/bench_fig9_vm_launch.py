@@ -10,7 +10,7 @@ by network message transmission; totals land in the seconds range and
 grow with image size and flavor.
 """
 
-from _tables import print_table
+from _tables import launch_seed, print_table
 
 from repro import CloudMonatt, SecurityProperty
 
@@ -24,7 +24,7 @@ def run_matrix() -> dict[tuple[str, str], dict[str, float]]:
     results: dict[tuple[str, str], dict[str, float]] = {}
     for image in IMAGES:
         for flavor in FLAVORS:
-            cloud = CloudMonatt(num_servers=3, seed=hash((image, flavor)) % 1000)
+            cloud = CloudMonatt(num_servers=3, seed=launch_seed(image, flavor))
             customer = cloud.register_customer("alice")
             launch = customer.launch_vm(
                 flavor, image, properties=[SecurityProperty.STARTUP_INTEGRITY]

@@ -23,7 +23,7 @@ import gc
 import statistics
 import time
 
-from _tables import print_table
+from _tables import launch_seed, print_table
 
 from repro import CloudMonatt, SecurityProperty
 from repro.telemetry import Observatory, Telemetry
@@ -48,7 +48,7 @@ def run_matrix(observatory_enabled: bool, cells=TIMED_CELLS):
     for image, flavor in cells:
         cloud = CloudMonatt(
             num_servers=3,
-            seed=hash((image, flavor)) % 1000,
+            seed=launch_seed(image, flavor),
             telemetry_enabled=True,
             observatory_enabled=observatory_enabled,
         )

@@ -32,7 +32,7 @@ import gc
 import statistics
 import time
 
-from _tables import print_table, print_telemetry_table
+from _tables import launch_seed, print_table, print_telemetry_table
 
 from repro import CloudMonatt, SecurityProperty
 from repro.telemetry import Telemetry
@@ -61,7 +61,7 @@ def run_matrix(telemetry_enabled: bool, cells=ALL_CELLS):
     for image, flavor in cells:
         cloud = CloudMonatt(
             num_servers=3,
-            seed=hash((image, flavor)) % 1000,
+            seed=launch_seed(image, flavor),
             telemetry_enabled=telemetry_enabled,
         )
         customer = cloud.register_customer("alice")
