@@ -11,12 +11,26 @@ Design notes:
   attestation re-arming, scheduler timeslice churn), the heap is
   compacted whenever cancelled entries outnumber live ones — an O(n)
   rebuild amortised against the ≥ n/2 dead entries it removes.
-- Heap entries are plain ``(time, seq, event)`` tuples: every sift in
+- Heap entries are plain ``(time, born, seq, event)`` tuples, where
+  ``born`` is the clock when the event was scheduled: every sift in
   push/pop compares entries, and tuple comparison (resolved on the
-  float, then the unique int) is several times cheaper than a generated
-  dataclass ``__lt__``. The event payload rides along uncompared
-  (``_Event`` is ``__slots__``-based, so its mutable flags are plain
-  slot loads).
+  floats, then the unique int) is several times cheaper than a generated
+  dataclass ``__lt__``. The clock never runs backwards, so ``born`` rises
+  with ``seq`` and ordinary events fire exactly in ``(time, seq)``
+  order; ``born`` exists for :class:`Periodic`, whose resumed firing
+  must sort as if its chain had never stopped. The event payload rides
+  along uncompared (``_Event`` is ``__slots__``-based, so its mutable
+  flags are plain slot loads).
+- A parked :class:`Periodic` chain keeps only the key of its next
+  firing, in a small side heap. Before a popped event runs, every parked
+  key below the event's key *passes*: it takes the next sequence number,
+  exactly as the live firing's re-arm would have, and moves one period
+  on. Chains with adjacent keys (same instant and birth, consecutive
+  sequence numbers, like one server's idle pCPUs) share one group entry
+  and pass together in O(1). The run loops pay one float compare per
+  event for this (against ``_watch``, the earliest parked instant); the
+  side heap is touched only at parked firing instants, with no callback,
+  event or queue push.
 - The ``run``/``run_until`` loops are deliberately flat: the heap pop,
   the queue, and the error class are bound to locals outside the loop,
   ``run`` inlines :meth:`step` instead of paying a method call per
@@ -31,7 +45,8 @@ Design notes:
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.common.errors import StateError
@@ -71,6 +86,59 @@ class EventHandle:
         return self._event.cancelled
 
 
+class Periodic:
+    """A fixed-period event chain that can *park* while it has nothing to do.
+
+    Made by :meth:`Engine.periodic`. The chain's callback ends every
+    firing with exactly one of :meth:`rearm` (fire again one period from
+    now) or :meth:`park` (stop firing). While parked, the engine still
+    tracks the key each skipped firing would have had (module notes),
+    so :meth:`resume` puts the chain back at exactly the heap slot it
+    would hold had it re-armed at every firing. A chain whose skipped
+    firings would have been no-ops therefore runs the same schedule as
+    a live one. Firing instants are the repeated sums ``t + period`` the
+    live chain computes, never a closed form.
+    """
+
+    __slots__ = ("_engine", "period", "_callback", "_args", "_slot")
+
+    def __init__(
+        self, engine: "Engine", period: float, callback: Callable[..., None],
+        args: tuple,
+    ):
+        self._engine = engine
+        self.period = period
+        self._callback = callback
+        self._args = args
+        #: the side-heap group holding this chain while parked, else None
+        self._slot: Optional[list] = None
+        engine.schedule(period, callback, *args)
+
+    @property
+    def parked(self) -> bool:
+        """Whether the chain is parked (no firing on the queue)."""
+        return self._slot is not None
+
+    def rearm(self) -> None:
+        """Schedule the next firing one period from now (call from the callback)."""
+        self._engine.schedule(self.period, self._callback, *self._args)
+
+    def park(self) -> None:
+        """Stop firing (call from the callback instead of :meth:`rearm`).
+
+        Takes the sequence number :meth:`rearm` would have taken.
+        """
+        self._engine._park(self)
+
+    def resume(self) -> None:
+        """Put a parked chain back on the queue; a live chain is left alone."""
+        if self._slot is None:
+            return
+        engine = self._engine
+        born, seq = engine._unpark(self)
+        engine._schedule_from(born, seq, self.period, self._callback, self._args)
+
+
 class Engine:
     """A deterministic discrete-event simulator.
 
@@ -83,8 +151,13 @@ class Engine:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, _Event]] = []
+        self._queue: list[tuple[float, float, int, _Event]] = []
         self._seq = 0
+        #: parked :class:`Periodic` chains, grouped (module notes): a heap
+        #: of ``[time, born, base, chains, period]``
+        self._parked: list[list] = []
+        #: earliest parked firing instant (``inf`` when none is parked)
+        self._watch = inf
         self._running = False
         self._cancelled = 0
         #: total events executed over the engine's lifetime (telemetry)
@@ -142,17 +215,124 @@ class Engine:
         """
         if delay < 0:
             raise StateError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(self._now + delay, callback, args)
+        now = self._now
+        event = _Event(now + delay, callback, args)
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (event.time, seq, event))
+        heappush(self._queue, (event.time, now, seq, event))
         return EventHandle(event)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule at an absolute simulation time (must not be in the past)."""
-        return self.schedule(time - self._now, callback, *args)
+        """Schedule at exactly the absolute time ``time`` (not in the past).
+
+        The entry is keyed on ``time`` itself: ``now + (time - now)`` can
+        miss it by an ulp, and no delay at all reaches it when ``now``
+        sits half a grid step off the spacing of floats near ``time``.
+        """
+        now = self._now
+        if time < now:
+            raise StateError(f"cannot schedule into the past (time={time}, now={now})")
+        event = _Event(time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (time, now, seq, event))
+        return EventHandle(event)
+
+    def periodic(
+        self, period: float, callback: Callable[..., None], *args: Any
+    ) -> Periodic:
+        """Start a parkable chain firing ``callback(*args)`` every ``period`` ms.
+
+        The first firing is one period from now; see :class:`Periodic`
+        for how the callback keeps the chain going.
+        """
+        if period <= 0:
+            raise StateError(f"period must be positive (period={period})")
+        return Periodic(self, period, callback, args)
+
+    def _schedule_from(
+        self, born: float, seq: int, delay: float,
+        callback: Callable[..., None], args: tuple,
+    ) -> EventHandle:
+        """Schedule ``delay`` after clock ``born``, with sequence ``seq``.
+
+        Gives a resumed :class:`Periodic` firing the key its live chain
+        would have pushed. It briefly rewinds the clock and the sequence
+        counter so the event still enters the queue through
+        :meth:`schedule`; ``born + delay`` is the same float sum that
+        produced the parked firing's instant.
+        """
+        now, next_seq = self._now, self._seq
+        self._now, self._seq = born, seq
+        try:
+            return self.schedule(delay, callback, *args)
+        finally:
+            self._now, self._seq = now, next_seq
+
+    def _park(self, chain: Periodic) -> None:
+        now, seq = self._now, self._seq
+        self._seq = seq + 1
+        self._regroup([now + chain.period, now, seq, [chain], chain.period])
+        self._watch = self._parked[0][0]
+
+    def _unpark(self, chain: Periodic) -> tuple[float, int]:
+        """Take ``chain`` out of its group; return its next firing's born and seq."""
+        group = chain._slot
+        chain._slot = None
+        time, born, base, chains, period = group
+        k = chains.index(chain)
+        rest = chains[k + 1:]
+        del chains[k:]  # an emptied group leaves the heap when it passes
+        if rest:
+            self._regroup([time, born, base + k + 1, rest, period])
+        return born, base + k
+
+    def _regroup(self, group: list) -> None:
+        for chain in group[3]:
+            chain._slot = group
+        heappush(self._parked, group)
+
+    def _pass_parked(self, limit) -> None:
+        """Let every parked firing keyed below ``limit`` happen (module notes).
+
+        ``limit`` is a popped heap entry, or ``[horizon, inf]`` once a run
+        has drained everything up to ``horizon``.
+        """
+        limit = list(limit[:3])
+        parked = self._parked
+        last = None
+        while parked and parked[0] < limit:
+            group = parked[0]
+            time, born, base, chains, period = group
+            if not chains:
+                heappop(parked)
+                continue
+            passing = len(chains)
+            if time == limit[0] and born == limit[1]:
+                passing = min(passing, limit[2] - base)
+            seq = self._seq
+            self._seq = seq + passing
+            if passing < len(chains):
+                # the limit sorts inside the group: the tail stays put
+                self._regroup([time, born, base + passing, chains[passing:], period])
+                del chains[passing:]
+            time, born = time + period, time
+            if (
+                last is not None and last[0] == time and last[1] == born
+                and last[2] + len(last[3]) == seq and last[4] == period
+            ):
+                # advanced right after ``last`` to the same instant: merge
+                last[3].extend(chains)
+                for chain in chains:
+                    chain._slot = last
+                heappop(parked)
+                continue
+            group[0], group[1], group[2] = time, born, seq
+            heapreplace(parked, group)
+            last = group
+        self._watch = parked[0][0] if parked else inf
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending event. Cancelling twice is a no-op."""
@@ -168,7 +348,7 @@ class Engine:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place (module notes)."""
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
         heapify(queue)
         self._cancelled = 0
 
@@ -176,12 +356,15 @@ class Engine:
         """Run the next pending event. Returns False if the queue is empty."""
         queue = self._queue
         while queue:
-            event = heappop(queue)[2]
+            entry = heappop(queue)
+            event = entry[3]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             self._now = event.time
+            if event.time >= self._watch:
+                self._pass_parked(entry)
             self.events_fired += 1
             event.callback(*event.args)
             return True
@@ -204,15 +387,21 @@ class Engine:
         queue = self._queue
         pop = heappop
         while queue and queue[0][0] <= end_time:
-            time_, _, event = pop(queue)
+            entry = pop(queue)
+            event = entry[3]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            time_ = entry[0]
             if time_ > self._now:
                 self._now = time_
+            if time_ >= self._watch:
+                self._pass_parked(entry)
             self.events_fired += 1
             event.callback(*event.args)
+        if end_time >= self._watch:
+            self._pass_parked([end_time, inf])
         if end_time > self._now:
             self._now = end_time
 
@@ -225,17 +414,23 @@ class Engine:
         pop = heappop
         executed = 0
         while queue:
-            time_, _, event = pop(queue)
+            entry = pop(queue)
+            event = entry[3]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            time_ = entry[0]
             self._now = time_
+            if time_ >= self._watch:
+                self._pass_parked(entry)
             self.events_fired += 1
             event.callback(*event.args)
             executed += 1
             if executed >= max_events:
                 raise StateError(f"exceeded {max_events} events; runaway loop?")
+        if self._now >= self._watch:
+            self._pass_parked([self._now, inf])
         return executed
 
     def pending(self) -> int:

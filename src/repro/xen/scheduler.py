@@ -31,7 +31,7 @@ from enum import IntEnum
 from typing import Optional
 
 from repro.common.errors import SchedulingError
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.engine import Engine, EventHandle, Periodic
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.xen.domain import Domain
 from repro.xen.vcpu import VCpu, VCpuState
@@ -70,6 +70,8 @@ class _PCpu:
     timeslice_handle: Optional[EventHandle] = None
     #: the vCPU taken off the core most recently (for switch events)
     last_descheduled: Optional[VCpu] = None
+    #: this pCPU's tick chain (parked while the pCPU idles)
+    ticker: Optional[Periodic] = None
 
 
 class CreditScheduler:
@@ -102,8 +104,13 @@ class CreditScheduler:
         self.pcpus = [_PCpu(i) for i in range(num_pcpus)]
         self.domains: list[Domain] = []
         self.listeners: list[object] = []
+        #: bound ``on_tick`` methods of the listeners, in listener order
+        self._tick_hooks: list = []
         self._started = False
         self._tick_epoch = 0.0
+        #: True while every live vCPU holds ``CREDIT_CAP`` and no credit
+        #: has been debited or vCPU added since the last full sweep
+        self._credits_capped = False
         #: defense ablation — charge credits for *actual* run time at
         #: deschedule instead of sampling whoever holds the core at tick
         #: instants. Removes the tick-evasion hole the availability
@@ -121,10 +128,21 @@ class CreditScheduler:
     def add_listener(self, listener: object) -> None:
         """Register a monitor hook object (see class docstring)."""
         self.listeners.append(listener)
+        self._refresh_tick_hooks()
+        if self._tick_hooks:
+            # an on_tick listener sees every tick, idle pCPUs included
+            for pcpu in self.pcpus:
+                if pcpu.ticker is not None:
+                    pcpu.ticker.resume()
 
     def remove_listener(self, listener: object) -> None:
         """Unregister a previously added listener."""
         self.listeners.remove(listener)
+        self._refresh_tick_hooks()
+
+    def _refresh_tick_hooks(self) -> None:
+        hooks = (getattr(listener, "on_tick", None) for listener in self.listeners)
+        self._tick_hooks = [hook for hook in hooks if hook is not None]
 
     def add_domain(self, domain: Domain) -> None:
         """Register a domain and make its vCPUs runnable.
@@ -139,6 +157,7 @@ class CreditScheduler:
                 )
         self.domains.append(domain)
         domain.started_at = self.engine.now
+        self._credits_capped = False
         self._ensure_started()
         for vcpu in domain.vcpus:
             delay = domain.workload.initial_delay_ms(vcpu)
@@ -175,7 +194,7 @@ class CreditScheduler:
         self._started = True
         self._tick_epoch = self.engine.now
         for pcpu in self.pcpus:
-            self.engine.schedule(TICK_MS, self._on_tick, pcpu)
+            pcpu.ticker = self.engine.periodic(TICK_MS, self._on_tick, pcpu)
         self.engine.schedule(ACCOUNTING_PERIOD_MS, self._on_accounting)
 
     def _on_tick(self, pcpu: _PCpu) -> None:
@@ -183,14 +202,24 @@ class CreditScheduler:
 
         Under precise accounting the debit happens per-run-interval in
         :meth:`_deschedule` instead, and the tick only clears boost.
+
+        A tick that finds the pCPU idle does nothing, and neither do the
+        ticks after it until a vCPU starts there, so unless a listener
+        wants ``on_tick`` the chain parks and :meth:`_start` resumes it
+        (tickless idle, DESIGN.md §13).
         """
         vcpu = pcpu.running
         if vcpu is not None:
             if not self.precise_accounting:
                 vcpu.credits = max(vcpu.credits - CREDITS_PER_TICK, -CREDIT_CAP)
+                self._credits_capped = False
             vcpu.boosted = False
-        self._emit("on_tick", self.engine.now, pcpu.index, vcpu)
-        self.engine.schedule(TICK_MS, self._on_tick, pcpu)
+        elif not self._tick_hooks:
+            pcpu.ticker.park()
+            return
+        for hook in self._tick_hooks:
+            hook(self.engine.now, pcpu.index, vcpu)
+        pcpu.ticker.rearm()
         # NOTE: the tick does not trigger a reschedule. As in Xen, credit
         # changes take effect at the next scheduling point (timeslice
         # expiry, block, or wake-up); only boost wake-ups preempt. This is
@@ -198,7 +227,19 @@ class CreditScheduler:
         # timeslice (paper Fig. 5, bottom).
 
     def _on_accounting(self) -> None:
-        """Redistribute credits to live domains in proportion to weight."""
+        """Redistribute credits to live domains in proportion to weight.
+
+        Credits are capped at ``CREDIT_CAP``, so a sweep over vCPUs that
+        all hold the cap changes nothing; until a debit or a new domain
+        lands, the sweep is skipped.
+        """
+        if not self._credits_capped:
+            self._credits_capped = self._redistribute()
+        self.engine.schedule(ACCOUNTING_PERIOD_MS, self._on_accounting)
+
+    def _redistribute(self) -> bool:
+        """One full accounting sweep; True if every live vCPU ends at the cap."""
+        capped = True
         live = [d for d in self.domains if d.live]
         total_weight = sum(d.weight for d in live)
         if total_weight > 0:
@@ -210,7 +251,8 @@ class CreditScheduler:
                 share = period_credits * domain.weight / total_weight / len(live_vcpus)
                 for vcpu in live_vcpus:
                     vcpu.credits = min(vcpu.credits + share, CREDIT_CAP)
-        self.engine.schedule(ACCOUNTING_PERIOD_MS, self._on_accounting)
+                    capped = capped and vcpu.credits == CREDIT_CAP
+        return capped
 
     # ------------------------------------------------------------------
     # vCPU state transitions
@@ -381,6 +423,7 @@ class CreditScheduler:
         prev = pcpu.last_descheduled
         pcpu.last_descheduled = None
         pcpu.running = vcpu
+        pcpu.ticker.resume()
         vcpu.state = VCpuState.RUNNING
         vcpu.run_start = self.engine.now
         vcpu.domain.workload.on_scheduled(vcpu, self.engine.now)
@@ -410,6 +453,7 @@ class CreditScheduler:
             # pay for exactly what was consumed: no tick evasion possible
             charge = CREDITS_PER_TICK * (elapsed / TICK_MS)
             vcpu.credits = max(vcpu.credits - charge, -CREDIT_CAP)
+            self._credits_capped = False
         if vcpu.burst_remaining != RUN_FOREVER:
             vcpu.burst_remaining = max(vcpu.burst_remaining - elapsed, 0.0)
         vcpu.run_start = None

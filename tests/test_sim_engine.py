@@ -46,6 +46,34 @@ class TestScheduling:
         engine.run()
         assert seen == [12.0]
 
+    def test_schedule_at_lands_exactly_from_inexact_now(self):
+        # now = 0.1 * 3 is 0.30000000000000004; now + (3.876 - now) is
+        # one ulp off 3.876
+        engine = Engine()
+        engine.run_until(0.1 * 3)
+        assert engine.now + (3.876 - engine.now) != 3.876
+        seen = []
+        handle = engine.schedule_at(3.876, lambda: seen.append(engine.now))
+        assert handle.time == 3.876
+        engine.run()
+        assert seen == [3.876]
+
+    @given(
+        st.floats(0.0, 1e6, allow_nan=False),
+        st.floats(0.0, 1e6, allow_nan=False),
+    )
+    def test_schedule_at_is_exact_for_any_pair(self, now, later):
+        engine = Engine()
+        engine.run_until(now)
+        time = max(now, later)
+        assert engine.schedule_at(time, lambda: None).time == time
+
+    def test_schedule_at_rejects_the_past(self):
+        engine = Engine()
+        engine.run_until(5.0)
+        with pytest.raises(StateError):
+            engine.schedule_at(4.0, lambda: None)
+
     def test_nested_scheduling(self):
         engine = Engine()
         fired = []
@@ -318,3 +346,61 @@ class TestFlattenedLoopEdgeCases:
             pass
         assert fired == [0, 3, 4, 5]
         assert engine.pending_count == 0
+
+
+class TestPeriodic:
+    """A parked chain resumes at the exact slot of its live counterpart."""
+
+    @staticmethod
+    def _run(park_until, resume_at, events):
+        """Fire a 10 ms chain that parks while ``now < park_until``.
+
+        ``events`` are ``(time, tag)`` pairs scheduled up front; the chain
+        resumes from a callback at ``resume_at``. Returns the firing log.
+        """
+        engine = Engine()
+        log = []
+        chain = None
+
+        def tick():
+            log.append(("tick", engine.now))
+            if park_until is not None and engine.now < park_until:
+                chain.park()
+            else:
+                chain.rearm()
+
+        chain = engine.periodic(10.0, tick)
+        for time, tag in events:
+            engine.schedule_at(time, log.append, (tag, time))
+        if resume_at is not None:
+            engine.schedule_at(resume_at, chain.resume)
+        engine.run_until(100.0)
+        return log, chain
+
+    def test_live_chain_fires_every_period(self):
+        log, chain = self._run(None, None, [])
+        assert [t for tag, t in log] == [10.0 * k for k in range(1, 11)]
+        assert not chain.parked
+
+    def test_parked_chain_skips_until_resumed(self):
+        log, _ = self._run(15.0, 47.0, [])
+        assert [t for tag, t in log] == [10.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
+
+    def test_resume_at_a_firing_instant_matches_key_order(self):
+        # the resume event is scheduled at time 0, so it sorts before the
+        # firing due at 40: that firing has not happened and still comes
+        log, _ = self._run(15.0, 40.0, [])
+        assert [t for tag, t in log][:3] == [10.0, 40.0, 50.0]
+
+    def test_resumed_firing_keeps_its_place_among_ties(self):
+        # events scheduled up front (born at 0) sort before the firing at
+        # 50 (born at 40), parked or not
+        live, _ = self._run(None, None, [(50.0, "a")])
+        parked, _ = self._run(15.0, 45.0, [(50.0, "a")])
+        for log in (live, parked):
+            at = log.index(("a", 50.0))
+            assert log[at:at + 2] == [("a", 50.0), ("tick", 50.0)]
+
+    def test_non_positive_period_rejected(self):
+        with pytest.raises(StateError):
+            Engine().periodic(0.0, lambda: None)
