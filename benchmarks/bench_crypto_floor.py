@@ -1,21 +1,21 @@
 """Raw-speed floor of the crypto and event-engine hot paths.
 
-Sweeps the modular-exponentiation ladder (built-in ``pow`` baseline,
-fixed-window, Montgomery-form, accelerated GMP backend), key generation
-(serial pure, serial accelerated, multiprocess keygen farm at several
-worker counts), and the flattened discrete-event engine — the three
-floors every attestation round bottoms out on.
+Times both exponentiation engines (built-in ``pow`` baseline and the
+accelerated GMP backend) for signing and verification, key-pool
+prefill (serial pure vs serial accelerated), and the flattened
+discrete-event engine — the three floors every attestation round
+bottoms out on.
 
-All variants are transcript-transparent (identical integers, identical
-bytes; ``tests/test_fastpath_determinism.py`` pins the full on/off
-matrix), so this harness measures *only* wall-clock.
+Both engines are transcript-transparent (identical integers, identical
+bytes; ``tests/test_fastpath_determinism.py`` pins the on/off matrix),
+so this harness measures *only* wall-clock.
 
 Outputs ``BENCH_crypto_floor.json`` (repo root by default) and appends
 a table to ``bench_tables.txt``. The ``--min-speedup`` gate fails the
 run (exit 1) unless, versus the same-run pure baselines:
 
 - best sign throughput is ≥ 3x the ``pow``-CRT baseline, and
-- farm-enabled pool prefill is ≥ 4x the serial pure-python prefill
+- accelerated pool prefill is ≥ 4x the serial pure-python prefill
 
 (the PR's acceptance bar; ``--min-speedup`` scales both targets, 0
 disables the gate). ``--quick`` shrinks the sign/engine iteration
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _tables import print_table  # noqa: E402
 
-from repro.crypto import accel, fastpath, keygen_farm  # noqa: E402
+from repro.crypto import accel, fastpath  # noqa: E402
 from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.crypto.keypool import KeyPool  # noqa: E402
 from repro.crypto.rsa import generate_keypair  # noqa: E402
@@ -55,7 +54,7 @@ SIGN_TARGET = 3.0
 """Acceptance bar: best sign ops/sec over the ``pow``-CRT baseline."""
 
 PREFILL_TARGET = 4.0
-"""Acceptance bar: farm prefill keys/sec over serial pure prefill."""
+"""Acceptance bar: accelerated prefill keys/sec over serial pure prefill."""
 
 
 def _timed(fn, n: int) -> dict:
@@ -71,14 +70,12 @@ def _timed(fn, n: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# modexp ladder: sign / verify
+# exponentiation engines: sign / verify
 # ----------------------------------------------------------------------
 
 #: variant name -> fastpath overrides (ordered slowest-first for the table)
 SIGN_VARIANTS = {
     "pow": {},
-    "montgomery": {"modexp_montgomery": True},
-    "fixed_window": {"modexp_fixed_window": True},
     "accel": {"accel_backend": True},
 }
 
@@ -88,10 +85,7 @@ def bench_sign_variants(key_bits: int, n: int) -> dict:
     message = {"vid": "vm-1", "measurements": {"m": 1.0}, "nonce": b"x" * 16}
     reference = sign(keypair.private, message)
     results: dict = {}
-    # the pure-python walks are reference implementations and slower
-    # than C pow; give them fewer iterations so the sweep stays cheap
-    iterations = {"pow": n, "montgomery": max(20, n // 4),
-                  "fixed_window": max(20, n // 2), "accel": n * 2}
+    iterations = {"pow": n, "accel": n * 2}
     for name, overrides in SIGN_VARIANTS.items():
         with fastpath.overridden(**overrides):
             assert sign(keypair.private, message) == reference
@@ -110,7 +104,7 @@ def bench_sign_variants(key_bits: int, n: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# keygen: serial vs accelerated vs farm
+# keygen: serial pure vs serial accelerated
 # ----------------------------------------------------------------------
 
 
@@ -129,22 +123,10 @@ def _prefill_rate(count: int, key_bits: int, **overrides) -> dict:
 
 
 def bench_keygen(key_bits: int, n_keys: int) -> dict:
-    results = {
+    return {
         "serial_pure": _prefill_rate(n_keys, key_bits),
         "serial_accel": _prefill_rate(n_keys, key_bits, accel_backend=True),
     }
-    cpus = os.cpu_count() or 1
-    sweep = sorted({w for w in (1, 2, 4, cpus) if w <= max(2, cpus)})
-    for workers in sweep:
-        results[f"farm_w{workers}"] = _prefill_rate(
-            n_keys, key_bits,
-            accel_backend=True, keygen_farm=True, keygen_farm_workers=workers,
-        )
-    # the headline configuration: farm on, one worker per CPU
-    results["farm_auto"] = _prefill_rate(
-        n_keys, key_bits, accel_backend=True, keygen_farm=True,
-    )
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +193,7 @@ def run(args: argparse.Namespace) -> dict:
         best_sign / results["sign"]["pow"]["ops_per_sec"], 2
     )
     results["prefill_speedup"] = round(
-        results["keygen"]["farm_auto"]["keys_per_sec"]
+        results["keygen"]["serial_accel"]["keys_per_sec"]
         / results["keygen"]["serial_pure"]["keys_per_sec"],
         2,
     )
@@ -239,7 +221,7 @@ def render_rows(results: dict) -> list[list]:
                      entry["n"], f"{entry['seconds']:.3f}"])
     rows.append(["best sign / pow-CRT sign speedup",
                  f"{results['sign_speedup']:.2f}x", "", ""])
-    rows.append(["farm prefill / serial pure prefill speedup",
+    rows.append(["accel prefill / serial pure prefill speedup",
                  f"{results['prefill_speedup']:.2f}x", "", ""])
     return rows
 
@@ -261,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="append the human table here ('' to skip)")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="scales the acceptance targets (3x sign, 4x "
-                             "farm prefill); 0 disables the gate")
+                             "accel prefill); 0 disables the gate")
     args = parser.parse_args(argv)
 
     results = run(args)
@@ -282,7 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "accel": {"available": accel.AVAILABLE,
                   "backend": accel.backend_name()},
-        "farm": keygen_farm.farm_config(),
         "fastpath_stats": fastpath.stats(),
         "results": results,
     }
@@ -310,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         if results["prefill_speedup"] < PREFILL_TARGET * args.min_speedup:
             failures.append(
-                f"farm prefill speedup {results['prefill_speedup']:.2f}x < "
+                f"accel prefill speedup {results['prefill_speedup']:.2f}x < "
                 f"required {PREFILL_TARGET * args.min_speedup:.1f}x"
             )
         if failures:

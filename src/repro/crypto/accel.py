@@ -14,14 +14,15 @@ Design constraints, in order:
   ``pow`` and refuses the backend on any mismatch. Because the *result*
   is identical, the accelerated paths are excluded from the
   transcript/audit-hash equivalence concerns by construction — there is
-  no behaviour to gate, only speed (see ``fastpath.accel_backend``).
+  no behaviour to gate, only speed. Whether it is used is decided in
+  one place, :mod:`repro.crypto.rsa`, from ``fastpath.accel_backend``.
 - **No new dependencies.** ``gmpy2`` is not assumed; the shared library
   is reached through :mod:`ctypes` and its absence simply leaves
   :data:`AVAILABLE` false, with every caller falling back to ``pow``.
-- **Allocation-free steady state.** Each thread keeps four reusable
-  ``mpz_t`` structs (thread-local, so the key-pool worker thread and
-  keygen-farm processes never share GMP state); imports reuse the limb
-  buffers, so a sign is three imports, one ``powm`` and one export.
+- **Allocation-free steady state.** Each thread keeps its own reusable
+  ``mpz_t`` structs (thread-local, so concurrent callers never share
+  GMP state); imports reuse the limb buffers, so a sign is three
+  imports, one ``powm`` and one export.
 """
 
 from __future__ import annotations

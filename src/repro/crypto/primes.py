@@ -4,16 +4,18 @@ Implements Miller-Rabin probabilistic primality testing with a
 deterministic small-prime pre-sieve, driven by the :class:`HmacDrbg` so
 that key generation is reproducible under a seed.
 
-Performance notes (the crypto-floor PR):
+Performance notes:
 
 - The pre-sieve is a single ``gcd`` against the product of the small
   primes instead of 46 separate trial divisions — mathematically the
   same accept/reject set, so the DRBG draw sequence (and therefore
   every generated key) is unchanged.
-- The Miller-Rabin exponentiations go through the accelerated backend
-  when ``fastpath.config().accel_backend`` is on (GMP, bit-exact with
-  ``pow``). Keygen is ~40 half-width modexps per key, so this is where
-  the key-generation floor actually moves.
+- With ``accelerated=True`` each Miller-Rabin witness round runs fused
+  inside GMP (:func:`repro.crypto.accel.mr_witness_passes`, bit-exact
+  with the ``pow`` round). Keygen is ~40 half-width modexps per key, so
+  this is where the key-generation floor actually moves. The caller
+  decides: :func:`repro.crypto.rsa.generate_keypair` passes the
+  engine choice it makes for every other exponentiation.
 - Base selection stays DRBG-drawn and the round count stays fixed:
   both are part of the determinism contract — skipping or reordering a
   draw would shift the stream and change every subsequent key.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from repro.crypto import accel, fastpath
+from repro.crypto import accel
 from repro.crypto.drbg import HmacDrbg
 
 _SMALL_PRIMES = [
@@ -38,11 +40,14 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
-def is_probable_prime(n: int, drbg: HmacDrbg, rounds: int = 24) -> bool:
+def is_probable_prime(
+    n: int, drbg: HmacDrbg, rounds: int = 24, accelerated: bool = False
+) -> bool:
     """Miller-Rabin primality test.
 
     ``rounds`` random bases give a false-positive probability below
     ``4**-rounds``; 24 rounds is far beyond what the simulation needs.
+    ``accelerated`` runs the witness rounds in GMP (same answers).
     """
     if n < 2:
         return False
@@ -56,7 +61,7 @@ def is_probable_prime(n: int, drbg: HmacDrbg, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if accel.AVAILABLE and fastpath.config().accel_backend:
+    if accelerated:
         # fused witness rounds: the whole x^d / squaring chain stays in
         # GMP; base draws are identical, so the keys are too
         for _ in range(rounds):
@@ -78,7 +83,7 @@ def is_probable_prime(n: int, drbg: HmacDrbg, rounds: int = 24) -> bool:
     return True
 
 
-def generate_prime(bits: int, drbg: HmacDrbg) -> int:
+def generate_prime(bits: int, drbg: HmacDrbg, accelerated: bool = False) -> int:
     """Generate a probable prime with exactly ``bits`` bits.
 
     The top two bits are forced to 1 so that the product of two such
@@ -90,5 +95,5 @@ def generate_prime(bits: int, drbg: HmacDrbg) -> int:
     while True:
         candidate = drbg.randint_bits(bits)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if is_probable_prime(candidate, drbg):
+        if is_probable_prime(candidate, drbg, accelerated=accelerated):
             return candidate

@@ -10,11 +10,11 @@ fails, which is what the Dolev-Yao evaluation depends on.
 times per run (every appraisal re-checks the pCA chain; every handshake
 re-checks the peer certificate). Verification is a pure function of
 ``(modulus, exponent, message digest, signature)``, so successful
-verifications are memoised under that full key in a bounded LRU. The memo
-may cache only *successes*: a failure must re-raise through the full code
-path every time, both so the error message always reflects the actual
-mismatch and so a negative result can never be consulted for a different
-(digest, signature) pair. Gated by ``fastpath.config().verify_memo``.
+verifications are memoised under that full key in an LRU bounded by
+:data:`VERIFY_MEMO_SIZE`. The memo may cache only *successes*: a failure
+must re-raise through the full code path every time, both so the error
+message always reflects the actual mismatch and so a negative result can
+never be consulted for a different (digest, signature) pair. Gated by ``fastpath.config().verify_memo``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from repro.crypto.rsa import private_op, public_op
 
 # DER prefix for a SHA-256 DigestInfo, as in real PKCS#1 v1.5 signatures.
 _SHA256_PREFIX = bytes.fromhex("3031300d060960864801650304020105000420")
+
+#: bound on the verification memo (entries, LRU eviction)
+VERIFY_MEMO_SIZE = 4096
 
 #: successful verifications, keyed (n, e, digest, signature); LRU-bounded
 _VERIFY_MEMO: OrderedDict[tuple[int, int, bytes, bytes], None] = OrderedDict()
@@ -89,7 +92,7 @@ def verify(key: RsaPublicKey, message: Any, signature: bytes) -> None:
     if memo_enabled:
         fastpath.record("verify_memo.miss")
         _VERIFY_MEMO[memo_key] = None
-        if len(_VERIFY_MEMO) > fastpath.config().verify_memo_size:
+        if len(_VERIFY_MEMO) > VERIFY_MEMO_SIZE:
             _VERIFY_MEMO.popitem(last=False)
 
 

@@ -10,8 +10,8 @@ register_policy / run_for / prewarm / drain / apply) executed by
 ``perform`` runs:
 
 - :class:`SerialShardExecutor` runs it immediately in-process — the
-  exact pre-existing serial plane, and the fallback for hosts without
-  ``fork`` or for ``shard_parallel_workers=0``.
+  exact pre-existing serial plane, the default, and the fallback for
+  hosts without ``fork`` or for ``parallel_workers=0``.
 - :class:`ForkedShardExecutor` runs it in one of ``min(workers,
   shards)`` persistent forked worker processes (shards assigned
   round-robin in sorted name order), dispatching command batches over
@@ -531,24 +531,17 @@ class ForkedShardExecutor:
 
 def make_executor(
     plane: "ShardPlane",
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
+    parallel: bool = False,
+    workers: int = 0,
 ):
-    """Build the executor the knobs ask for, degrading gracefully.
+    """Build the executor the arguments ask for, degrading gracefully.
 
-    ``None`` values read the process-wide fast-path configuration
-    (``shard_parallel`` / ``shard_parallel_workers``). The forked
-    executor requires ``parallel`` on, ``workers > 0`` and a host with
-    the ``fork`` start method; anything else — including a fork failure
-    at construction — yields the serial executor, recording the
-    ``shard_parallel.unavailable`` fast-path statistic when parallelism
-    was requested but could not be delivered.
+    The forked executor requires ``parallel`` on, ``workers > 0`` and a
+    host with the ``fork`` start method; anything else — including a
+    fork failure at construction — yields the serial executor,
+    recording the ``shard_parallel.unavailable`` fast-path statistic
+    when parallelism was requested but could not be delivered.
     """
-    config = fastpath.config()
-    if parallel is None:
-        parallel = config.shard_parallel
-    if workers is None:
-        workers = config.shard_parallel_workers
     if parallel and workers > 0:
         if procpool.fork_available():
             try:

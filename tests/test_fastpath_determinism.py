@@ -1,18 +1,17 @@
 """The crypto fast paths must never change a protocol byte.
 
-The key pool, verification memo, subkey cache and wire-encoding cache
-all promise to be *transparent*: same seed, same transcripts, whether
-they are on or off. These tests pin that promise down by running the
-same scenario under both configurations and comparing everything
-observable — raw wire traffic (captured below the encryption layer, so
-every quote Q1/Q2/Q3, signature and certificate is covered), the
-customer-visible attestation response, and the attestation server's
-hash-chained audit log.
+The key pool, GMP exponentiation backend, verification memo, subkey
+cache and wire-encoding cache all promise to be *transparent*: same
+seed, same transcripts, whether they are on or off. These tests pin
+that promise down by running the same scenario under both
+configurations and comparing everything observable — raw wire traffic
+(captured below the encryption layer, so every quote Q1/Q2/Q3,
+signature and certificate is covered), the customer-visible
+attestation response, and the attestation server's hash-chained audit
+log.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -37,14 +36,12 @@ def _run_attestation_round(fast_paths_on: bool, extra_overrides=None):
 
     Returns every observable artifact of the round: the raw wire
     transcript, the customer's verified response, and the audit log.
-    ``extra_overrides`` layers additional fast-path knobs (the modexp /
-    keygen matrix) on top of the enabled configuration.
+    ``extra_overrides`` layers additional fast-path knobs (the engine
+    matrix) on top of the enabled configuration.
     """
     if fast_paths_on:
-        # exercise batching and an explicit prefill, not just pass-through
-        context = fastpath.overridden(
-            key_pool_batch=4, **(extra_overrides or {})
-        )
+        # exercise an explicit prefill, not just pass-through
+        context = fastpath.overridden(**(extra_overrides or {}))
     else:
         context = fastpath.all_disabled()
     with context:
@@ -103,9 +100,7 @@ class TestTranscriptEquivalence:
 def _run_fleet_round(fast_paths_on: bool):
     """Three overlapped rounds through the fleet pipeline's batch path."""
     context = (
-        fastpath.overridden(key_pool_batch=4)
-        if fast_paths_on
-        else fastpath.all_disabled()
+        fastpath.overridden() if fast_paths_on else fastpath.all_disabled()
     )
     with context:
         clear_verify_memo()
@@ -146,32 +141,13 @@ class TestFleetTranscriptEquivalence:
         assert optimized["audit_head"] == baseline["audit_head"]
 
 
-#: the crypto-floor knobs: every on/off combination must be
-#: transcript-transparent (ISSUE 8 satellite: the 2^4 matrix)
-MATRIX_KNOBS = (
-    "modexp_montgomery",
-    "modexp_fixed_window",
-    "keygen_farm",
-    "accel_backend",
-)
-
-_MATRIX_COMBOS = list(itertools.product((False, True), repeat=len(MATRIX_KNOBS)))
-
-
-def _combo_id(combo) -> str:
-    short = {"modexp_montgomery": "mont", "modexp_fixed_window": "win",
-             "keygen_farm": "farm", "accel_backend": "accel"}
-    on = [short[k] for k, v in zip(MATRIX_KNOBS, combo) if v]
-    return "+".join(on) or "none"
-
-
 class TestModexpMatrixEquivalence:
-    """Montgomery × fixed-window × keygen-farm × accel backend.
+    """The GMP exponentiation engine on and off.
 
-    Each variant claims to compute the same integers as the ``pow``
-    baseline; here every one of the 16 combinations drives a complete
-    attestation round and must reproduce the disabled-path transcript
-    byte for byte, and fill a key pool with byte-identical keys.
+    The accelerated backend claims to compute the same integers as the
+    ``pow`` baseline; here both settings drive a complete attestation
+    round and must reproduce the disabled-path transcript byte for
+    byte, and fill a key pool with byte-identical keys.
     """
 
     _baseline = None
@@ -186,8 +162,7 @@ class TestModexpMatrixEquivalence:
     @classmethod
     def _get_pool_baseline(cls):
         if cls._pool_baseline is None:
-            disabled = {knob: False for knob in MATRIX_KNOBS}
-            with fastpath.overridden(key_pool=True, **disabled):
+            with fastpath.overridden(key_pool=True, accel_backend=False):
                 cls._pool_baseline = cls._pool_keys()
         return cls._pool_baseline
 
@@ -200,9 +175,10 @@ class TestModexpMatrixEquivalence:
             for kp in (pool.take() for _ in range(4))
         ]
 
-    @pytest.mark.parametrize("combo", _MATRIX_COMBOS, ids=_combo_id)
-    def test_transcripts_and_pool_identical(self, combo):
-        overrides = dict(zip(MATRIX_KNOBS, combo))
+    @pytest.mark.parametrize("accel_backend", [False, True],
+                             ids=["none", "accel"])
+    def test_transcripts_and_pool_identical(self, accel_backend):
+        overrides = {"accel_backend": accel_backend}
         baseline = self._get_baseline()
         result = _run_attestation_round(
             fast_paths_on=True, extra_overrides=overrides
@@ -236,25 +212,17 @@ class TestKeyPoolDeterminism:
             ]
         assert pooled == lazy
 
-    def test_on_demand_batch_matches_lazy_generation(self):
+    def test_on_demand_take_matches_lazy_generation(self):
         lazy = self._lazy_sessions(3)
-        with fastpath.overridden(key_pool=True, key_pool_batch=2):
+        with fastpath.overridden(key_pool=True):
             module = TrustModule(HmacDrbg(SEED, "tm"), key_bits=KEY_BITS)
-            batched = [
-                (s.public.n, s.public.e)
-                for s in (module.new_attestation_session() for _ in range(3))
-            ]
-        assert batched == lazy
-
-    def test_background_generation_matches_sync(self):
-        sync_pool = KeyPool(HmacDrbg(SEED, "pool"), KEY_BITS)
-        sync_pool.prefill(3)
-        sync_keys = [sync_pool.take().public.n for _ in range(3)]
-        with fastpath.overridden(key_pool_background=True):
-            bg_pool = KeyPool(HmacDrbg(SEED, "pool"), KEY_BITS)
-            bg_pool.prefill(3)
-            bg_keys = [bg_pool.take().public.n for _ in range(3)]
-        assert bg_keys == sync_keys
+            on_demand = []
+            for _ in range(3):
+                session = module.new_attestation_session()
+                # an empty pool generates exactly the key it hands out
+                assert module.key_pool.available == 0
+                on_demand.append((session.public.n, session.public.e))
+        assert on_demand == lazy
 
     def test_pool_counters(self):
         telemetry = Telemetry(enabled=True)
@@ -296,11 +264,12 @@ class TestVerifyMemo:
                     verify(keypair.public, message, bytes(signature))
         assert "verify_memo.hit" not in fastpath.stats()
 
-    def test_memo_is_bounded(self):
+    def test_memo_is_bounded(self, monkeypatch):
         from repro.crypto import signatures
 
+        monkeypatch.setattr(signatures, "VERIFY_MEMO_SIZE", 4)
         keypair = generate_keypair(HmacDrbg(1, "memo"), bits=KEY_BITS)
-        with fastpath.overridden(verify_memo=True, verify_memo_size=4):
+        with fastpath.overridden(verify_memo=True):
             for index in range(8):
                 message = {"i": index}
                 verify(keypair.public, message, sign(keypair.private, message))
@@ -354,11 +323,50 @@ class TestPrimitiveCaches:
             assert encode(round_tripped) == blob
 
 
-def test_fastpath_configure_rejects_unknown_option():
+#: the knobs removed once their benchmarks showed no win, plus a name
+#: that never existed: all are unknown options now
+_UNKNOWN_OPTIONS = (
+    "bogus",
+    "key_pool_batch",
+    "key_pool_background",
+    "keygen_farm",
+    "keygen_farm_workers",
+    "modexp_montgomery",
+    "modexp_fixed_window",
+    "shard_parallel",
+    "shard_parallel_workers",
+    "verify_memo_size",
+)
+
+
+def test_fastpath_config_has_exactly_the_surviving_fields():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(fastpath.FastPathConfig)] == [
+        "key_pool",
+        "accel_backend",
+        "verify_memo",
+        "cache_symmetric_subkeys",
+        "cache_wire_encodings",
+    ]
+
+
+@pytest.mark.parametrize("name", _UNKNOWN_OPTIONS)
+def test_fastpath_configure_rejects_unknown_option(name):
+    from dataclasses import asdict
+
     from repro.common.errors import ConfigurationError
 
+    before = asdict(fastpath.config())
+    flipped = not fastpath.config().verify_memo
+    # a valid option alongside the unknown one must not be applied
     with pytest.raises(ConfigurationError):
-        fastpath.configure(no_such_flag=True)
+        fastpath.configure(verify_memo=flipped, **{name: 1})
+    assert asdict(fastpath.config()) == before
+    with pytest.raises(ConfigurationError):
+        with fastpath.overridden(verify_memo=flipped, **{name: True}):
+            pass
+    assert asdict(fastpath.config()) == before
 
 
 def test_all_disabled_restores_previous_config():
@@ -366,64 +374,14 @@ def test_all_disabled_restores_previous_config():
     with fastpath.all_disabled():
         assert fastpath.config().key_pool is False
         assert fastpath.config().verify_memo is False
+        assert fastpath.config().accel_backend is False
     assert fastpath.config().key_pool is before
 
 
-class TestShardParallelKnob:
-    """The ``shard_parallel`` knobs ride the same configuration plane.
+def test_default_shard_plane_runs_the_serial_executor():
+    from repro.shard import ShardPlane
+    from repro.shard.parallel import SerialShardExecutor
 
-    ISSUE 10: parallel shard execution is a fast path like any other —
-    off by default, coverable by ``all_disabled``, and transcript-
-    transparent when engaged (the full matrix lives in
-    ``tests/test_shard_parallel.py``; here the knob-driven plane's
-    fleet bytes are pinned against the serial default).
-    """
-
-    def test_knobs_default_off_and_all_disabled_covers_them(self):
-        assert fastpath.config().shard_parallel is False
-        assert fastpath.config().shard_parallel_workers == 0
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=3):
-            config = fastpath.config()
-            assert config.shard_parallel is True
-            assert config.shard_parallel_workers == 3
-            with fastpath.all_disabled():
-                assert fastpath.config().shard_parallel is False
-            assert fastpath.config().shard_parallel is True
-        assert fastpath.config().shard_parallel is False
-
-    def test_knob_driven_plane_matches_serial_bytes(self):
-        from repro.common import procpool
-        from repro.shard import ShardPlane
-
-        if not procpool.fork_available():
-            pytest.skip("requires the fork start method")
-
-        def fleet(plane):
-            with plane:
-                customer = plane.register_customer("alice")
-                launches = [
-                    customer.launch_vm(
-                        "small", "cirros",
-                        properties=[SecurityProperty.RUNTIME_INTEGRITY],
-                    )
-                    for _ in range(4)
-                ]
-                result = customer.attest_fleet([
-                    (l.vid, SecurityProperty.RUNTIME_INTEGRITY)
-                    for l in launches
-                ])
-                return (
-                    [encode(r.report.to_dict()) for r in result.results],
-                    result.root,
-                )
-
-        serial = fleet(ShardPlane(num_shards=2, seed=SEED,
-                                  num_servers=1, key_bits=KEY_BITS))
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=2):
-            knob_driven = ShardPlane(num_shards=2, seed=SEED,
-                                     num_servers=1, key_bits=KEY_BITS)
-            assert knob_driven.executor.mode == "parallel"
-            parallel = fleet(knob_driven)
-        assert parallel == serial
+    with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
+                    key_bits=KEY_BITS) as plane:
+        assert isinstance(plane.executor, SerialShardExecutor)

@@ -8,7 +8,7 @@ scheduler ticks, with and without injected network faults — under the
 serial executor and under 2- and 8-worker forked executors, and asserts
 byte-identical per-VM reports, cross-shard Merkle roots, policy
 statuses, flight records, alert logs and metric snapshots. The rest of
-the file pins the degradation ladder: knob-driven selection, workers=0
+the file pins the degradation ladder: argument-driven selection, workers=0
 and fork-less hosts falling back to serial (with the
 ``shard_parallel.unavailable`` statistic), a worker crash degrading the
 executor to ``serial-fallback`` mid-run without losing answers, and
@@ -27,11 +27,7 @@ from repro.crypto import fastpath
 from repro.network import FaultInjector, FaultSpec
 from repro.resilience import LEG_CONTROLLER_AS
 from repro.shard import ShardPlane
-from repro.shard.parallel import (
-    ForkedShardExecutor,
-    SerialShardExecutor,
-    make_executor,
-)
+from repro.shard.parallel import SerialShardExecutor, make_executor
 
 KEY_BITS = 512
 SEED = 2029
@@ -186,22 +182,6 @@ class TestDeterminismMatrix:
 # ----------------------------------------------------------------------
 
 class TestExecutorSelection:
-    @needs_fork
-    def test_fastpath_knobs_drive_the_executor(self):
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=2):
-            with _build_plane(workers=0, faults=False) as plane:
-                # workers=0 → parallel=False explicit argument wins
-                assert isinstance(plane.executor, SerialShardExecutor)
-            with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
-                            key_bits=KEY_BITS) as plane:
-                # None knobs read the fast-path configuration
-                assert isinstance(plane.executor, ForkedShardExecutor)
-                assert plane.executor.mode == "parallel"
-        with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
-                        key_bits=KEY_BITS) as plane:
-            assert isinstance(plane.executor, SerialShardExecutor)
-
     def test_workers_zero_request_is_serial(self):
         with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
                         key_bits=KEY_BITS, parallel=True,
