@@ -6,9 +6,12 @@ prefill (serial pure vs serial accelerated), and the flattened
 discrete-event engine — the three floors every attestation round
 bottoms out on.
 
-Both engines are transcript-transparent (identical integers, identical
-bytes; ``tests/test_fastpath_determinism.py`` pins the on/off matrix),
-so this harness measures *only* wall-clock.
+The code uses GMP wherever ``libgmp`` loads, so the ``pow`` side is
+pinned through the ``accel.AVAILABLE`` seam, as the tests pin it. Both
+engines are transcript-transparent (identical integers, identical
+bytes; ``tests/test_fastpath_determinism.py`` pins the engine matrix),
+so this harness measures *only* wall-clock. Without ``libgmp`` both
+sides run ``pow`` and the gate fails.
 
 Outputs ``BENCH_crypto_floor.json`` (repo root by default) and appends
 a table to ``bench_tables.txt``. The ``--min-speedup`` gate fails the
@@ -34,6 +37,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -73,11 +77,16 @@ def _timed(fn, n: int) -> dict:
 # exponentiation engines: sign / verify
 # ----------------------------------------------------------------------
 
-#: variant name -> fastpath overrides (ordered slowest-first for the table)
+#: variant name -> whether it runs GMP (ordered slowest-first for the table)
 SIGN_VARIANTS = {
-    "pow": {},
-    "accel": {"accel_backend": True},
+    "pow": False,
+    "accel": True,
 }
+
+
+def _engine(gmp: bool):
+    """Pin the exponentiation engine; GMP only where libgmp loaded."""
+    return mock.patch.object(accel, "AVAILABLE", gmp and accel.AVAILABLE)
 
 
 def bench_sign_variants(key_bits: int, n: int) -> dict:
@@ -86,17 +95,17 @@ def bench_sign_variants(key_bits: int, n: int) -> dict:
     reference = sign(keypair.private, message)
     results: dict = {}
     iterations = {"pow": n, "accel": n * 2}
-    for name, overrides in SIGN_VARIANTS.items():
-        with fastpath.overridden(**overrides):
+    for name, gmp in SIGN_VARIANTS.items():
+        with _engine(gmp):
             assert sign(keypair.private, message) == reference
             results[name] = _timed(
                 lambda: sign(keypair.private, message), iterations[name]
             )
-    with fastpath.overridden(verify_memo=False):
+    with _engine(False), fastpath.overridden(verify_memo=False):
         results["verify_pow"] = _timed(
             lambda: verify(keypair.public, message, reference), n
         )
-    with fastpath.overridden(verify_memo=False, accel_backend=True):
+    with _engine(True), fastpath.overridden(verify_memo=False):
         results["verify_accel"] = _timed(
             lambda: verify(keypair.public, message, reference), n
         )
@@ -108,9 +117,9 @@ def bench_sign_variants(key_bits: int, n: int) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _prefill_rate(count: int, key_bits: int, **overrides) -> dict:
-    """Wall-clock a cold KeyPool prefill under one configuration."""
-    with fastpath.overridden(key_pool=True, **overrides):
+def _prefill_rate(count: int, key_bits: int, gmp: bool) -> dict:
+    """Wall-clock a cold KeyPool prefill on one engine."""
+    with _engine(gmp):
         pool = KeyPool(HmacDrbg(SEED, "floor-pool"), key_bits)
         start = time.perf_counter()
         pool.prefill(count)
@@ -124,8 +133,8 @@ def _prefill_rate(count: int, key_bits: int, **overrides) -> dict:
 
 def bench_keygen(key_bits: int, n_keys: int) -> dict:
     return {
-        "serial_pure": _prefill_rate(n_keys, key_bits),
-        "serial_accel": _prefill_rate(n_keys, key_bits, accel_backend=True),
+        "serial_pure": _prefill_rate(n_keys, key_bits, gmp=False),
+        "serial_accel": _prefill_rate(n_keys, key_bits, gmp=True),
     }
 
 

@@ -14,8 +14,10 @@ Design constraints, in order:
   ``pow`` and refuses the backend on any mismatch. Because the *result*
   is identical, the accelerated paths are excluded from the
   transcript/audit-hash equivalence concerns by construction — there is
-  no behaviour to gate, only speed. Whether it is used is decided in
-  one place, :mod:`repro.crypto.rsa`, from ``fastpath.accel_backend``.
+  no behaviour to gate, only speed. It is used exactly when
+  :data:`AVAILABLE` is true, decided in one place,
+  :mod:`repro.crypto.rsa`; tests pin the ``pow`` engine by patching
+  :data:`AVAILABLE` to false.
 - **No new dependencies.** ``gmpy2`` is not assumed; the shared library
   is reached through :mod:`ctypes` and its absence simply leaves
   :data:`AVAILABLE` false, with every caller falling back to ``pow``.

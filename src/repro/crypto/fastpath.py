@@ -1,14 +1,17 @@
 """Process-wide configuration for the crypto fast paths.
 
 Every optimisation the crypto layer performs — attestation-key pooling,
-the GMP exponentiation backend, the signature-verification memo,
-derived-subkey caching, cached wire encodings — is transparent by
-construction: it may change *when* work happens, never *what* bytes
-the protocol produces. This module is the single switchboard that
-turns each fast path on or off, so the transcript-equivalence tests
-can run the same seed with everything disabled and prove byte-for-byte
-identical quotes, signatures and audit logs (see
-``tests/test_fastpath_determinism.py``).
+the signature-verification memo, derived-subkey caching, cached wire
+encodings — is transparent by construction: it may change *when* work
+happens, never *what* bytes the protocol produces. This module is the
+single switchboard that turns each fast path on or off, so the
+transcript-equivalence tests can run the same seed with everything
+disabled and prove byte-for-byte identical quotes, signatures and
+audit logs (see ``tests/test_fastpath_determinism.py``).
+
+The exponentiation engine is not a switch here: :mod:`repro.crypto.rsa`
+uses GMP whenever ``libgmp`` loaded (``accel.AVAILABLE``) and ``pow``
+otherwise, since both compute the same integers.
 
 The config is process-global on purpose: the caches it governs
 (notably the verification memo) are shared across endpoints, and the
@@ -32,10 +35,6 @@ class FastPathConfig:
     #: pre-generate attestation session keypairs in the Trust Module
     #: (same DRBG fork streams, pop order = session order)
     key_pool: bool = True
-    #: raw modular exponentiation through the optional accelerated
-    #: backend (GMP via ctypes when loadable — see repro.crypto.accel);
-    #: bit-exact with ``pow`` by construction, so transcripts never move
-    accel_backend: bool = False
     #: memoise *successful* signature verifications keyed by
     #: (modulus, exponent, message digest, signature)
     verify_memo: bool = True
@@ -103,7 +102,6 @@ def all_disabled(**extra: object):
         verify_memo=False,
         cache_symmetric_subkeys=False,
         cache_wire_encodings=False,
-        accel_backend=False,
         **extra,
     )
 

@@ -1,9 +1,10 @@
 """Deterministic pre-generation of attestation session keypairs.
 
 Per-session key generation {AVKs, ASKs} is the dominant cost of every
-attestation round (paper §3.4.2, Fig. 9) — a Miller-Rabin loop in pure
-Python on the protocol's critical path. The pool moves that loop off
-the hot path without changing a single protocol byte:
+attestation round (paper §3.4.2, Fig. 9): DRBG draws and Miller-Rabin
+witness rounds (in GMP where ``libgmp`` loads) on the protocol's
+critical path. The pool moves that loop off the hot path without
+changing a single protocol byte:
 
 **Determinism contract.** The pool draws each keypair from *exactly*
 the DRBG fork stream the Trust Module would otherwise fork lazily
@@ -15,10 +16,10 @@ session *i* receives the identical keypair whether the pool
 pre-generated it minutes earlier or the caller generates it on demand.
 The only observable difference is wall-clock time.
 
-Generation is synchronous on the caller's thread: keygen is pure
-Python under the GIL, so a worker thread would overlap nothing, and a
-multiprocess prefill farm measured no faster than serial GMP-backed
-keygen (DESIGN.md §10.2).
+Generation is synchronous on the caller's thread: keygen is mostly
+Python-level work under the GIL (DRBG draws, ctypes marshalling), so a
+worker thread would overlap little, and a multiprocess prefill farm
+measured no faster than serial GMP-backed keygen (DESIGN.md §10.2).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Performance notes:
   inside GMP (:func:`repro.crypto.accel.mr_witness_passes`, bit-exact
   with the ``pow`` round). Keygen is ~40 half-width modexps per key, so
   this is where the key-generation floor actually moves. The caller
-  decides: :func:`repro.crypto.rsa.generate_keypair` passes the
-  engine choice it makes for every other exponentiation.
+  decides: :func:`repro.crypto.rsa.generate_keypair` passes
+  ``accel.AVAILABLE``, the engine choice it makes for every other
+  exponentiation.
 - Base selection stays DRBG-drawn and the round count stays fixed:
   both are part of the determinism contract — skipping or reordering a
   draw would shift the stream and change every subsequent key.

@@ -6,20 +6,22 @@ except that module and the tests.
 
 **Exponentiation engine.** This module is the one place that picks how
 ``x^e mod n`` is computed: GMP's ``mpz_powm`` via
-:mod:`repro.crypto.accel` when ``fastpath.config().accel_backend`` is on
-and the library loaded, CPython's built-in ``pow`` otherwise. Both
-compute the identical integer, so the choice can never move a protocol
-byte. Key generation follows the same choice for its Miller-Rabin
-witness rounds (:mod:`repro.crypto.primes`). Private ops always use
-the CRT split when the key carries its prime factors. There is no
-pure-Python engine: fixed-window and Montgomery walks measured slower
-than ``pow`` (DESIGN.md §10.2).
+:mod:`repro.crypto.accel` whenever ``libgmp`` loaded and passed its
+self-test (``accel.AVAILABLE``), CPython's built-in ``pow`` otherwise.
+There is no option: both compute the identical integer, so the choice
+can never move a protocol byte, and the faster engine that loads is
+the one used. Tests pin the ``pow`` engine by patching
+``accel.AVAILABLE``. Key generation follows the same choice for its
+Miller-Rabin witness rounds (:mod:`repro.crypto.primes`). Private ops
+always use the CRT split when the key carries its prime factors. There
+is no pure-Python engine: fixed-window and Montgomery walks measured
+slower than ``pow`` (DESIGN.md §10.2).
 """
 
 from __future__ import annotations
 
 from repro.common.errors import CryptoError
-from repro.crypto import accel, fastpath
+from repro.crypto import accel
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import KeyPair, RsaPrivateKey, RsaPublicKey
 from repro.crypto.primes import generate_prime
@@ -41,7 +43,7 @@ def generate_keypair(drbg: HmacDrbg, bits: int = DEFAULT_KEY_BITS) -> KeyPair:
     if bits < 128 or bits % 2 != 0:
         raise CryptoError("modulus size must be an even number of bits >= 128")
     half = bits // 2
-    accelerated = _accelerated()
+    accelerated = accel.AVAILABLE
     while True:
         p = generate_prime(half, drbg, accelerated)
         q = generate_prime(half, drbg, accelerated)
@@ -58,14 +60,9 @@ def generate_keypair(drbg: HmacDrbg, bits: int = DEFAULT_KEY_BITS) -> KeyPair:
         )
 
 
-def _accelerated() -> bool:
-    """Whether the GMP engine is both requested and loaded."""
-    return fastpath.config().accel_backend and accel.AVAILABLE
-
-
 def _powmod(base: int, exp: int, mod: int) -> int:
-    """``base^exp mod mod`` on the configured engine (module docstring)."""
-    if _accelerated():
+    """``base^exp mod mod`` on the loaded engine (module docstring)."""
+    if accel.AVAILABLE:
         return accel.powmod(base, exp, mod)
     return pow(base, exp, mod)
 

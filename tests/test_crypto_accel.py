@@ -5,6 +5,8 @@ path is transcript-transparent by construction, and these tests are
 the construction's proof obligations.
 """
 
+from unittest import mock
+
 from repro.crypto import accel, fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import RsaPrivateKey
@@ -53,41 +55,45 @@ class TestAccelBackend:
 # dispatch: both engines compute the same integers
 # ----------------------------------------------------------------------
 
-DISPATCH_CONFIGS = [
-    {},
-    {"accel_backend": True},
-]
+#: ``accel.AVAILABLE`` values to dispatch under: the ``pow`` engine
+#: always, GMP where libgmp loaded
+DISPATCH_ENGINES = [False, True] if accel.AVAILABLE else [False]
+
+
+def _engine(gmp: bool):
+    """Pin the exponentiation engine through the ``accel.AVAILABLE`` seam."""
+    return mock.patch.object(accel, "AVAILABLE", gmp)
 
 
 class TestDispatchEquivalence:
     def test_private_op_all_configs(self):
         keypair = _keypair()
         values = [0, 1, 2, keypair.public.n - 1, (1 << 300) % keypair.public.n]
-        with fastpath.overridden():
+        with _engine(False):
             reference = [private_op(keypair.private, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
+        for gmp in DISPATCH_ENGINES:
+            with _engine(gmp):
                 assert [
                     private_op(keypair.private, v) for v in values
-                ] == reference, overrides
+                ] == reference, gmp
 
     def test_private_op_factorless_all_configs(self):
         keypair = _keypair()
         bare = RsaPrivateKey(n=keypair.private.n, d=keypair.private.d)
         values = [0, 1, 2, keypair.public.n - 1]
-        with fastpath.overridden():
+        with _engine(False):
             reference = [private_op(bare, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
+        for gmp in DISPATCH_ENGINES:
+            with _engine(gmp):
                 assert [private_op(bare, v) for v in values] == reference
 
     def test_public_op_all_configs(self):
         keypair = _keypair()
         values = [0, 1, 2, keypair.public.n - 1]
-        with fastpath.overridden():
+        with _engine(False):
             reference = [public_op(keypair.public, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
+        for gmp in DISPATCH_ENGINES:
+            with _engine(gmp):
                 assert [public_op(keypair.public, v) for v in values] == (
                     reference
                 )
@@ -95,17 +101,17 @@ class TestDispatchEquivalence:
     def test_sign_bytes_identical_across_configs(self):
         keypair = _keypair()
         message = {"vid": "vm-7", "nonce": b"n" * 16}
-        with fastpath.overridden():
+        with _engine(False):
             reference = sign(keypair.private, message)
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(verify_memo=False, **overrides):
+        for gmp in DISPATCH_ENGINES:
+            with _engine(gmp), fastpath.overridden(verify_memo=False):
                 signature = sign(keypair.private, message)
-                assert signature == reference, overrides
+                assert signature == reference, gmp
                 verify(keypair.public, message, signature)  # raises on mismatch
 
     def test_keygen_identical_with_accel(self):
-        with fastpath.overridden():
+        with _engine(False):
             pure = generate_keypair(HmacDrbg(SEED, "kg").fork("a"), KEY_BITS)
-        with fastpath.overridden(accel_backend=True):
+        with _engine(accel.AVAILABLE):
             fast = generate_keypair(HmacDrbg(SEED, "kg").fork("a"), KEY_BITS)
         assert _key_tuple(pure) == _key_tuple(fast)

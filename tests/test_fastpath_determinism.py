@@ -1,22 +1,24 @@
 """The crypto fast paths must never change a protocol byte.
 
-The key pool, GMP exponentiation backend, verification memo, subkey
-cache and wire-encoding cache all promise to be *transparent*: same
-seed, same transcripts, whether they are on or off. These tests pin
-that promise down by running the same scenario under both
-configurations and comparing everything observable — raw wire traffic
-(captured below the encryption layer, so every quote Q1/Q2/Q3,
-signature and certificate is covered), the customer-visible
-attestation response, and the attestation server's hash-chained audit
-log.
+The key pool, verification memo, subkey cache and wire-encoding cache
+all promise to be *transparent*: same seed, same transcripts, whether
+they are on or off; so does the GMP exponentiation engine, whether
+``libgmp`` loaded or not. These tests pin that promise down by running
+the same scenario under both configurations and comparing everything
+observable — raw wire traffic (captured below the encryption layer, so
+every quote Q1/Q2/Q3, signature and certificate is covered), the
+customer-visible attestation response, and the attestation server's
+hash-chained audit log.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro import CloudMonatt, SecurityProperty
-from repro.crypto import fastpath
+from repro.crypto import accel, fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.encoding import encode
 from repro.crypto.keypool import KeyPool
@@ -31,25 +33,22 @@ KEY_BITS = 512
 SEED = 314
 
 
-def _run_attestation_round(fast_paths_on: bool, extra_overrides=None):
+def _run_attestation_round(fast_paths_on: bool):
     """Launch → attest → report under one fast-path configuration.
 
     Returns every observable artifact of the round: the raw wire
     transcript, the customer's verified response, and the audit log.
-    ``extra_overrides`` layers additional fast-path knobs (the engine
-    matrix) on top of the enabled configuration.
     """
-    if fast_paths_on:
-        # exercise an explicit prefill, not just pass-through
-        context = fastpath.overridden(**(extra_overrides or {}))
-    else:
-        context = fastpath.all_disabled()
+    context = (
+        fastpath.overridden() if fast_paths_on else fastpath.all_disabled()
+    )
     with context:
         clear_verify_memo()
         cloud = CloudMonatt(num_servers=1, seed=SEED, key_bits=KEY_BITS)
         tap = Eavesdropper()
         cloud.network.install_attacker(tap)
         if fast_paths_on:
+            # exercise an explicit prefill, not just pass-through
             server = next(iter(cloud.servers.values()))
             assert server.trust_module.key_pool is not None
             server.trust_module.key_pool.prefill(4)
@@ -142,29 +141,28 @@ class TestFleetTranscriptEquivalence:
 
 
 class TestModexpMatrixEquivalence:
-    """The GMP exponentiation engine on and off.
+    """The ``pow`` and GMP exponentiation engines.
 
-    The accelerated backend claims to compute the same integers as the
-    ``pow`` baseline; here both settings drive a complete attestation
-    round and must reproduce the disabled-path transcript byte for
-    byte, and fill a key pool with byte-identical keys.
+    The GMP engine claims to compute the same integers as ``pow``. The
+    reference side (the disabled-path round and a key pool) runs on the
+    ``pow`` engine, pinned through the ``accel.AVAILABLE`` seam, so
+    ``pow`` keeps byte-comparison coverage although every other test
+    runs GMP wherever it loads. Each engine then drives a complete
+    attestation round and must reproduce the reference transcript byte
+    for byte, and fill a key pool with byte-identical keys.
     """
 
     _baseline = None
-    _pool_baseline = None
 
     @classmethod
     def _get_baseline(cls):
         if cls._baseline is None:
-            cls._baseline = _run_attestation_round(fast_paths_on=False)
+            with mock.patch.object(accel, "AVAILABLE", False):
+                cls._baseline = (
+                    _run_attestation_round(fast_paths_on=False),
+                    cls._pool_keys(),
+                )
         return cls._baseline
-
-    @classmethod
-    def _get_pool_baseline(cls):
-        if cls._pool_baseline is None:
-            with fastpath.overridden(key_pool=True, accel_backend=False):
-                cls._pool_baseline = cls._pool_keys()
-        return cls._pool_baseline
 
     @staticmethod
     def _pool_keys():
@@ -175,21 +173,41 @@ class TestModexpMatrixEquivalence:
             for kp in (pool.take() for _ in range(4))
         ]
 
-    @pytest.mark.parametrize("accel_backend", [False, True],
-                             ids=["none", "accel"])
-    def test_transcripts_and_pool_identical(self, accel_backend):
-        overrides = {"accel_backend": accel_backend}
-        baseline = self._get_baseline()
-        result = _run_attestation_round(
-            fast_paths_on=True, extra_overrides=overrides
-        )
-        assert result["wire"] == baseline["wire"], overrides
-        assert result["response"] == baseline["response"], overrides
-        assert result["audit"] == baseline["audit"], overrides
-        assert result["audit_head"] == baseline["audit_head"], overrides
-        pool_baseline = self._get_pool_baseline()
-        with fastpath.overridden(key_pool=True, **overrides):
-            assert self._pool_keys() == pool_baseline, overrides
+    @pytest.mark.parametrize("gmp", [False, True], ids=["none", "accel"])
+    def test_transcripts_and_pool_identical(self, gmp, monkeypatch):
+        if gmp and not accel.AVAILABLE:
+            pytest.skip("libgmp not loadable")
+        baseline, pool_baseline = self._get_baseline()
+        monkeypatch.setattr(accel, "AVAILABLE", gmp)
+        result = _run_attestation_round(fast_paths_on=True)
+        for artifact in ("wire", "response", "audit", "audit_head"):
+            assert result[artifact] == baseline[artifact], (gmp, artifact)
+        assert self._pool_keys() == pool_baseline, gmp
+
+
+@pytest.mark.parametrize("available", [False, True], ids=["pow", "gmp"])
+def test_default_engine_follows_gmp_availability(available, monkeypatch):
+    # the default config signs and generates keys on GMP exactly when
+    # libgmp loaded; the spies compute with pow, so this also runs on
+    # hosts without libgmp
+    engine_calls = []
+
+    def powmod(base, exp, mod):
+        engine_calls.append("powmod")
+        return pow(base, exp, mod)
+
+    def mr_witness_passes(a, d, n, r):
+        engine_calls.append("mr_witness")
+        return accel._py_mr_witness_passes(a, d, n, r)
+
+    monkeypatch.setattr(accel, "AVAILABLE", available)
+    monkeypatch.setattr(accel, "powmod", powmod)
+    monkeypatch.setattr(accel, "mr_witness_passes", mr_witness_passes)
+    keypair = generate_keypair(HmacDrbg(SEED, "engine"), bits=KEY_BITS)
+    assert ("mr_witness" in engine_calls) is available
+    engine_calls.clear()
+    sign(keypair.private, {"quote": b"q3"})
+    assert ("powmod" in engine_calls) is available
 
 
 class TestKeyPoolDeterminism:
@@ -323,9 +341,11 @@ class TestPrimitiveCaches:
             assert encode(round_tripped) == blob
 
 
-#: the knobs removed once their benchmarks showed no win, plus a name
-#: that never existed: all are unknown options now
+#: the knobs removed once their benchmarks showed no win, the engine
+#: switch (the engine now follows ``accel.AVAILABLE``), plus a name that
+#: never existed: all are unknown options now
 _UNKNOWN_OPTIONS = (
+    "accel_backend",
     "bogus",
     "key_pool_batch",
     "key_pool_background",
@@ -344,7 +364,6 @@ def test_fastpath_config_has_exactly_the_surviving_fields():
 
     assert [f.name for f in fields(fastpath.FastPathConfig)] == [
         "key_pool",
-        "accel_backend",
         "verify_memo",
         "cache_symmetric_subkeys",
         "cache_wire_encodings",
@@ -374,7 +393,6 @@ def test_all_disabled_restores_previous_config():
     with fastpath.all_disabled():
         assert fastpath.config().key_pool is False
         assert fastpath.config().verify_memo is False
-        assert fastpath.config().accel_backend is False
     assert fastpath.config().key_pool is before
 
 
